@@ -131,17 +131,22 @@ func newBatchValues(v *plan.Values, opts Options) *batchValues {
 // NextBatch implements BatchIterator.
 func (it *batchValues) NextBatch() (*Batch, error) {
 	it.out.reset()
-	for it.pos < len(it.node.Rows) && len(it.out.Rows) < it.size {
-		exprs := it.node.Rows[it.pos]
-		it.pos++
+	for it.pos < it.node.NumRows() && len(it.out.Rows) < it.size {
 		row := it.slab.newRow()
-		for i, e := range exprs {
-			v, err := e.Eval(nil)
-			if err != nil {
-				return nil, err
+		if it.node.Const != nil {
+			// A fresh copy per execution: storage adopts the rows it is
+			// given, and a cached plan's constant rows are shared.
+			copy(row, it.node.Const[it.pos])
+		} else {
+			for i, e := range it.node.Rows[it.pos] {
+				v, err := e.Eval(nil)
+				if err != nil {
+					return nil, err
+				}
+				row[i] = v
 			}
-			row[i] = v
 		}
+		it.pos++
 		it.out.Rows = append(it.out.Rows, row)
 	}
 	if len(it.out.Rows) == 0 {

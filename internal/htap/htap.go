@@ -124,29 +124,49 @@ func (p *Pipeline) CreateMaterializedView(sql string) error {
 // capture triggers, so the compiled propagation scripts then maintain the
 // views; with PRAGMA ivm_mode='lazy' the actual fold happens on the next
 // view query, with 'eager' it happens during replay.
+//
+// The pulls and the deletes run in one OLTP transaction, so each DELETE
+// removes exactly the rows its table's pull returned: a delta captured
+// meanwhile commits after the transaction's snapshot, stays invisible to
+// it, and is left for the next Sync. BEGIN rides on the first pull and
+// the deletes and COMMIT share one final round trip.
 func (p *Pipeline) Sync() error {
 	p.Stats.Syncs++
+	if len(p.mirrored) == 0 {
+		return nil
+	}
+	begin := "BEGIN; "
+	var settle strings.Builder
 	for table := range p.mirrored {
-		resp, err := p.OLTP.Exec("SELECT * FROM delta_" + table)
+		resp, err := p.OLTP.Exec(begin + "SELECT * FROM delta_" + table)
+		begin = ""
 		if err != nil {
-			return err
-		}
-		if len(resp.Rows) == 0 {
-			continue
+			return p.rollback(err)
 		}
 		for _, r := range resp.Rows {
 			row := sqltypes.Row(r)
 			mult := row[len(row)-1].IsTrue()
 			if err := p.OLAP.ApplyDeltaRow(table, row[:len(row)-1], mult); err != nil {
-				return fmt.Errorf("htap: replaying delta for %s: %w", table, err)
+				return p.rollback(fmt.Errorf("htap: replaying delta for %s: %w", table, err))
 			}
 			p.Stats.DeltasPulled++
 		}
-		if _, err := p.OLTP.Exec("DELETE FROM delta_" + table); err != nil {
-			return err
+		if len(resp.Rows) > 0 {
+			settle.WriteString("DELETE FROM delta_" + table + "; ")
 		}
 	}
+	settle.WriteString("COMMIT")
+	if _, err := p.OLTP.Exec(settle.String()); err != nil {
+		return p.rollback(err)
+	}
 	return nil
+}
+
+// rollback ends a failed Sync's OLTP transaction, leaving every delta in
+// place, and returns err (a ROLLBACK error would only hide it).
+func (p *Pipeline) rollback(err error) error {
+	_, _ = p.OLTP.Exec("ROLLBACK")
+	return err
 }
 
 // Query synchronizes pending deltas and then runs an analytical query on

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"openivm/internal/engine"
 	"openivm/internal/oltp"
 	"openivm/internal/sqltypes"
 	"openivm/internal/wire"
@@ -174,5 +175,76 @@ func TestInitialDataMirrored(t *testing.T) {
 	}
 	if p.Stats.RowsMirrored != 3 {
 		t.Errorf("stats.RowsMirrored = %d", p.Stats.RowsMirrored)
+	}
+}
+
+// TestSyncKeepsDeltasCapturedDuringReplay: a write that reaches the OLTP
+// side while Sync replays (here an OLAP-side trigger on the mirror writes
+// through a second connection) is captured after Sync's pull. Sync must
+// leave that delta for the next Sync rather than delete it unreplayed;
+// after the next Sync the mirror equals the OLTP table.
+func TestSyncKeepsDeltasCapturedDuringReplay(t *testing.T) {
+	store := oltp.New("pg")
+	srv := wire.NewServer(store.DB)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	dial := func() *wire.Client {
+		cl, err := wire.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	p, other := New(dial()), dial()
+	if _, err := other.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Mirror("t"); err != nil {
+		t.Fatal(err)
+	}
+	echoed := false
+	p.OLAP.AddTrigger("t", "echo", []engine.TriggerEvent{engine.TrigInsert}, func(*engine.DB, string, engine.TriggerEvent, []sqltypes.Row, []sqltypes.Row) error {
+		if echoed {
+			return nil
+		}
+		echoed = true
+		_, err := other.Exec("INSERT INTO t VALUES (2, 20)")
+		return err
+	})
+	if _, err := other.Exec("INSERT INTO t VALUES (1, 10)"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := p.Sync(); err != nil {
+			t.Fatalf("Sync %d: %v", i+1, err)
+		}
+	}
+	if !echoed {
+		t.Fatal("the replay trigger never fired")
+	}
+	local, err := p.OLAP.Exec("SELECT id, v FROM t ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := other.Exec("SELECT id, v FROM t ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g, w []string
+	for _, r := range local.Rows {
+		g = append(g, r.String())
+	}
+	for _, r := range remote.Rows {
+		w = append(w, sqltypes.Row(r).String())
+	}
+	if strings.Join(g, ";") != strings.Join(w, ";") || len(w) != 2 {
+		t.Fatalf("mirror %v, OLTP table %v", g, w)
+	}
+	if n := store.PendingDeltas("t"); n != 0 {
+		t.Fatalf("%d deltas left after the second Sync", n)
 	}
 }

@@ -324,3 +324,18 @@ func TestCompiledScriptsReparse(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileRejectsValues: a view over VALUES is refused in both of the
+// list's parsed forms, literal rows and expression rows.
+func TestCompileRejectsValues(t *testing.T) {
+	db := newDB(t)
+	c := NewCompiler(db, DefaultOptions())
+	for _, sql := range []string{
+		"CREATE MATERIALIZED VIEW v AS VALUES (1, 'a'), (2, 'b')",
+		"CREATE MATERIALIZED VIEW v AS VALUES ((1), ('a')), ((2), ('b'))",
+	} {
+		if _, err := c.CompileSQL(sql); err == nil || !strings.Contains(err.Error(), "VALUES cannot be materialized") {
+			t.Errorf("CompileSQL(%q) = %v, want the VALUES rejection", sql, err)
+		}
+	}
+}

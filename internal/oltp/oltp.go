@@ -43,35 +43,44 @@ func deltaName(table string) string { return "delta_" + strings.ToLower(table) }
 
 // capture is the trigger body: append affected rows to delta_<table> with
 // the boolean multiplicity column (insert=TRUE, delete=FALSE; updates are
-// a FALSE/TRUE pair).
+// a FALSE/TRUE pair). The rows land in a transaction of their own, so
+// they commit after every snapshot already taken: a reader that pulls
+// delta_<table> and then deletes it under one snapshot (htap.Pipeline's
+// Sync) never deletes a row it did not see. A plain Table.Insert would
+// not do: it stamps the row with the latest commit timestamp, which a
+// snapshot taken just before the capture may already carry.
 func (s *Store) capture(db *engine.DB, table string, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
 	dt, err := db.Catalog().Table(deltaName(table))
 	if err != nil {
 		return fmt.Errorf("oltp: capture on %s: %w (create the delta table first)", table, err)
 	}
-	add := func(rows []sqltypes.Row, mult bool) error {
-		for _, r := range rows {
+	rows := make([]sqltypes.Row, 0, len(oldRows)+len(newRows))
+	add := func(src []sqltypes.Row, mult bool) {
+		for _, r := range src {
 			dr := make(sqltypes.Row, 0, len(r)+1)
 			dr = append(dr, r...)
-			dr = append(dr, sqltypes.NewBool(mult))
-			if err := dt.Insert(dr); err != nil {
-				return err
-			}
+			rows = append(rows, append(dr, sqltypes.NewBool(mult)))
 		}
-		return nil
 	}
 	switch ev {
 	case engine.TrigInsert:
-		return add(newRows, true)
+		add(newRows, true)
 	case engine.TrigDelete:
-		return add(oldRows, false)
+		add(oldRows, false)
 	case engine.TrigUpdate:
-		if err := add(oldRows, false); err != nil {
-			return err
-		}
-		return add(newRows, true)
+		add(oldRows, false)
+		add(newRows, true)
 	}
-	return nil
+	if len(rows) == 0 {
+		return nil
+	}
+	mv := db.Catalog().MVCC()
+	tx := mv.Begin()
+	if _, err := dt.InsertBatchTxn(tx, rows); err != nil {
+		mv.Abort(tx)
+		return err
+	}
+	return mv.Commit(tx)
 }
 
 // EnableCapture creates the delta table for a base table and attaches the

@@ -1,8 +1,10 @@
 package oltp
 
 import (
+	"fmt"
 	"testing"
 
+	"openivm/internal/engine"
 	"openivm/internal/sqltypes"
 )
 
@@ -125,5 +127,49 @@ func TestPGTypeMapping(t *testing.T) {
 		if got := pgType(ty); got != want {
 			t.Errorf("pgType(%v) = %q, want %q", ty, got, want)
 		}
+	}
+}
+
+// TestCaptureInvisibleToEarlierSnapshot: a snapshot taken after a base
+// write commits but before its capture trigger runs must not see the
+// captured delta row. Otherwise a pull-then-delete under that snapshot
+// (htap.Pipeline.Sync) deletes a delta it never pulled.
+func TestCaptureInvisibleToEarlierSnapshot(t *testing.T) {
+	s := New("pg")
+	if _, err := s.DB.Exec("CREATE TABLE orders (oid INTEGER PRIMARY KEY, amount INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	puller := s.DB.NewSession()
+	// Registered before the capture trigger, so it runs first: the base
+	// row has committed and the delta row does not exist yet.
+	s.DB.AddTrigger("orders", "pull_first", []engine.TriggerEvent{engine.TrigInsert},
+		func(*engine.DB, string, engine.TriggerEvent, []sqltypes.Row, []sqltypes.Row) error {
+			if _, err := puller.Exec("BEGIN"); err != nil {
+				return err
+			}
+			res, err := puller.Exec("SELECT * FROM delta_orders")
+			if err == nil && len(res.Rows) != 0 {
+				err = fmt.Errorf("pulled %d delta rows before the capture ran", len(res.Rows))
+			}
+			return err
+		})
+	if err := s.EnableCapture("orders"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DB.Exec("INSERT INTO orders VALUES (1, 10)"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := puller.Exec("DELETE FROM delta_orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RowsAffected != 0 {
+		t.Fatalf("the DELETE removed %d delta rows its snapshot should not see", res.RowsAffected)
+	}
+	if _, err := puller.Exec("COMMIT"); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.PendingDeltas("orders"); n != 1 {
+		t.Fatalf("pending = %d, want the one captured row", n)
 	}
 }

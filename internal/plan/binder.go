@@ -196,11 +196,19 @@ func containsAggregate(e sqlparser.Expr) bool {
 	return found
 }
 
-// bindValues binds a VALUES list.
+// bindValues binds a VALUES list. A literal list binds to the constant
+// form as is: its rows are already values, one width, no expressions.
 func (b *Binder) bindValues(sel *sqlparser.SelectStmt) (Node, error) {
+	if lit := sel.Values.Literal; lit != nil {
+		v := &Values{Const: lit}
+		for i, val := range lit[0] {
+			v.Columns = append(v.Columns, ColumnInfo{Name: fmt.Sprintf("col%d", i), Type: val.T})
+		}
+		return v, nil
+	}
 	v := &Values{}
 	width := -1
-	for _, prow := range sel.Values {
+	for _, prow := range sel.Values.Exprs {
 		if width == -1 {
 			width = len(prow)
 		} else if len(prow) != width {

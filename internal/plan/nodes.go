@@ -85,11 +85,19 @@ func (s *Scan) Describe() string {
 	return d
 }
 
-// Values produces literal rows (VALUES lists, SELECT without FROM).
+// Values produces literal rows (VALUES lists, SELECT without FROM), in
+// one of two forms: Const holds constant rows (a VALUES list of bare
+// literals), Rows one expression per item. At most one is non-nil. Const
+// rows are shared by every execution of a cached plan, so the executor
+// copies them and never hands them on.
 type Values struct {
 	Rows    [][]expr.Expr
+	Const   []sqltypes.Row
 	Columns []ColumnInfo
 }
+
+// NumRows returns the number of rows the node produces.
+func (v *Values) NumRows() int { return len(v.Rows) + len(v.Const) }
 
 // Schema implements Node.
 func (v *Values) Schema() []ColumnInfo { return v.Columns }
@@ -98,7 +106,7 @@ func (v *Values) Schema() []ColumnInfo { return v.Columns }
 func (v *Values) Children() []Node { return nil }
 
 // Describe implements Node.
-func (v *Values) Describe() string { return fmt.Sprintf("Values (%d rows)", len(v.Rows)) }
+func (v *Values) Describe() string { return fmt.Sprintf("Values (%d rows)", v.NumRows()) }
 
 // Filter keeps rows where Pred evaluates to TRUE.
 type Filter struct {

@@ -55,7 +55,7 @@ func EstimateRows(n Node) int {
 	case *Scan:
 		return x.Table.RowCount()
 	case *Values:
-		return len(x.Rows)
+		return x.NumRows()
 	case *Filter:
 		// Selectivity guess: keep a third.
 		return EstimateRows(x.Input)/3 + 1

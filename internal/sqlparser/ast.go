@@ -212,13 +212,23 @@ type SelectStmt struct {
 	Limit    Expr // nil = no limit
 	Offset   Expr
 	// Values is set for a VALUES (...),(...) "select"; Items/From unused.
-	Values [][]Expr
+	Values *ValuesList
 	// Set-operation chain: this SELECT <NextOp> Next.
 	NextOp SetOp
 	Next   *SelectStmt
 }
 
 func (*SelectStmt) stmt() {}
+
+// ValuesList is the row list of a VALUES (...), (...) clause, in one of
+// two forms. A list whose every item is a bare literal (a number, a
+// string, NULL, TRUE or FALSE) is Literal: constant rows of one width,
+// carved from one value slab. Any other list is Exprs, one expression per
+// item. Exactly one of the two is non-nil.
+type ValuesList struct {
+	Literal []sqltypes.Row
+	Exprs   [][]Expr
+}
 
 // ---------------------------------------------------------------------------
 // DDL

@@ -32,31 +32,55 @@ type Token struct {
 	Pos  int    // byte offset in the input
 }
 
-// keywords is the set of reserved words recognized by the lexer. Words not
-// in this set lex as identifiers.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "OFFSET": true,
-	"ASC": true, "DESC": true, "AS": true, "DISTINCT": true, "ALL": true,
-	"AND": true, "OR": true, "NOT": true, "IN": true, "IS": true,
-	"NULL": true, "TRUE": true, "FALSE": true, "BETWEEN": true, "LIKE": true,
-	"CASE": true, "WHEN": true, "THEN": true, "ELSE": true, "END": true,
-	"CAST": true, "JOIN": true, "INNER": true, "LEFT": true, "RIGHT": true,
-	"FULL": true, "OUTER": true, "CROSS": true, "ON": true, "USING": true,
-	"UNION": true, "EXCEPT": true, "INTERSECT": true, "WITH": true,
-	"VALUES": true, "INSERT": true, "INTO": true, "DELETE": true,
-	"UPDATE": true, "SET": true, "CREATE": true, "TABLE": true,
-	"VIEW": true, "MATERIALIZED": true, "INDEX": true, "UNIQUE": true,
-	"DROP": true, "IF": true, "EXISTS": true, "PRIMARY": true, "KEY": true,
-	"DEFAULT": true, "REPLACE": true, "CONFLICT": true, "DO": true,
-	"NOTHING": true, "EXCLUDED": true, "RETURNING": true, "TRUNCATE": true,
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "EXPLAIN": true,
-	"REFRESH": true, "PRAGMA": true, "COUNT": true, "SUM": true, "MIN": true,
-	"MAX": true, "AVG": true, "COALESCE": true, "OF": true, "FOR": true,
-	"TRIGGER": true, "AFTER": true, "ROW": true, "EACH": true, "EXECUTE": true,
+// keywords maps each reserved word to its canonical upper-case spelling,
+// so a keyword token's text is that shared string whatever the input's
+// case. Words not in this set lex as identifiers.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT",
+		"OFFSET", "ASC", "DESC", "AS", "DISTINCT", "ALL", "AND", "OR", "NOT",
+		"IN", "IS", "NULL", "TRUE", "FALSE", "BETWEEN", "LIKE", "CASE", "WHEN",
+		"THEN", "ELSE", "END", "CAST", "JOIN", "INNER", "LEFT", "RIGHT", "FULL",
+		"OUTER", "CROSS", "ON", "USING", "UNION", "EXCEPT", "INTERSECT", "WITH",
+		"VALUES", "INSERT", "INTO", "DELETE", "UPDATE", "SET", "CREATE", "TABLE",
+		"VIEW", "MATERIALIZED", "INDEX", "UNIQUE", "DROP", "IF", "EXISTS",
+		"PRIMARY", "KEY", "DEFAULT", "REPLACE", "CONFLICT", "DO", "NOTHING",
+		"EXCLUDED", "RETURNING", "TRUNCATE", "BEGIN", "COMMIT", "ROLLBACK",
+		"EXPLAIN", "REFRESH", "PRAGMA", "COUNT", "SUM", "MIN", "MAX", "AVG",
+		"COALESCE", "OF", "FOR", "TRIGGER", "AFTER", "ROW", "EACH", "EXECUTE",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen bounds the words keywordOf upper-cases on the stack.
+const maxKeywordLen = 12
+
+// keywordOf returns word's canonical keyword spelling, if it is one. The
+// upper-casing happens in a stack buffer, so no word allocates.
+func keywordOf(word string) (string, bool) {
+	if len(word) > maxKeywordLen {
+		return "", false
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
-// Lexer tokenizes a SQL string.
+// Lexer tokenizes a SQL string one token at a time. The text of
+// identifiers, numbers, parameters and operators is a substring of the
+// source; keyword text is the canonical spelling from keywords. String
+// literals are the exception: their text may end up stored in a table,
+// so each one owns its bytes and never keeps the statement text alive.
 type Lexer struct {
 	src string
 	pos int
@@ -80,51 +104,22 @@ func (l *Lexer) Next() (Token, error) {
 			l.pos++
 		}
 		word := l.src[start:l.pos]
-		up := strings.ToUpper(word)
-		if keywords[up] {
-			return Token{Kind: TokKeyword, Text: up, Pos: start}, nil
+		if kw, ok := keywordOf(word); ok {
+			return Token{Kind: TokKeyword, Text: kw, Pos: start}, nil
 		}
 		return Token{Kind: TokIdent, Text: word, Pos: start}, nil
 	case c == '"': // quoted identifier
-		l.pos++
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return Token{}, fmt.Errorf("sqlparser: unterminated quoted identifier at %d", start)
-			}
-			if l.src[l.pos] == '"' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '"' {
-					sb.WriteByte('"')
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				break
-			}
-			sb.WriteByte(l.src[l.pos])
-			l.pos++
+		text, ok := l.quoted('"', false)
+		if !ok {
+			return Token{}, fmt.Errorf("sqlparser: unterminated quoted identifier at %d", start)
 		}
-		return Token{Kind: TokIdent, Text: sb.String(), Pos: start}, nil
+		return Token{Kind: TokIdent, Text: text, Pos: start}, nil
 	case c == '\'':
-		l.pos++
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return Token{}, fmt.Errorf("sqlparser: unterminated string literal at %d", start)
-			}
-			if l.src[l.pos] == '\'' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					sb.WriteByte('\'')
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				break
-			}
-			sb.WriteByte(l.src[l.pos])
-			l.pos++
+		text, ok := l.quoted('\'', true)
+		if !ok {
+			return Token{}, fmt.Errorf("sqlparser: unterminated string literal at %d", start)
 		}
-		return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
+		return Token{Kind: TokString, Text: text, Pos: start}, nil
 	case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
 		l.pos++
 		seenDot := c == '.'
@@ -161,17 +156,50 @@ func (l *Lexer) Next() (Token, error) {
 		return Token{Kind: TokParam, Text: l.src[numStart:l.pos], Pos: start}, nil
 	default:
 		// multi-char operators first
-		for _, op := range []string{"<>", "!=", "<=", ">=", "||", "::"} {
-			if strings.HasPrefix(l.src[l.pos:], op) {
-				l.pos += len(op)
+		if l.pos+1 < len(l.src) {
+			switch op := l.src[l.pos : l.pos+2]; op {
+			case "<>", "!=", "<=", ">=", "||", "::":
+				l.pos += 2
 				return Token{Kind: TokOp, Text: op, Pos: start}, nil
 			}
 		}
 		if strings.IndexByte("+-*/%(),.;=<>", c) >= 0 {
 			l.pos++
-			return Token{Kind: TokOp, Text: string(c), Pos: start}, nil
+			return Token{Kind: TokOp, Text: l.src[start:l.pos], Pos: start}, nil
 		}
 		return Token{}, fmt.Errorf("sqlparser: unexpected character %q at %d", string(c), start)
+	}
+}
+
+// quoted scans a q-quoted token whose opening quote is at l.pos; a
+// doubled q inside stands for one q. ok is false when the input ends
+// first. Text with a doubled quote is built fresh; text without one is a
+// substring of the source, or a copy of it when owned is set.
+func (l *Lexer) quoted(q byte, owned bool) (text string, ok bool) {
+	l.pos++
+	start := l.pos
+	var sb strings.Builder
+	for {
+		i := strings.IndexByte(l.src[l.pos:], q)
+		if i < 0 {
+			return "", false
+		}
+		end := l.pos + i
+		if end+1 < len(l.src) && l.src[end+1] == q {
+			sb.WriteString(l.src[start : end+1])
+			l.pos = end + 2
+			start = l.pos
+			continue
+		}
+		l.pos = end + 1
+		switch {
+		case sb.Len() > 0:
+			sb.WriteString(l.src[start:end])
+			return sb.String(), true
+		case owned:
+			return strings.Clone(l.src[start:end]), true
+		}
+		return l.src[start:end], true
 	}
 }
 

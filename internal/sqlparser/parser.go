@@ -9,44 +9,51 @@ import (
 )
 
 // Parser is a recursive-descent SQL parser with Pratt expression parsing.
+// It pulls tokens from its Lexer as it needs them, through a two-token
+// lookahead (cur, and nxt once peek2 has filled it), so no statement is
+// ever held as a token slice.
 type Parser struct {
-	src  string
-	toks []Token
-	pos  int
+	src    string
+	lex    Lexer
+	cur    Token
+	nxt    Token
+	hasNxt bool
+	// lexErr is the first lexer error. The token stream ends there, and
+	// the error is what the parse reports (see finish).
+	lexErr error
 }
 
 // Parse parses a single SQL statement (a trailing semicolon is allowed).
 func Parse(sql string) (Statement, error) {
-	p, err := newParser(sql)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(sql)
 	stmt, err := p.parseStatement()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		p.skipSemis()
+		if !p.atEOF() {
+			err = p.errorf("unexpected trailing input %q", p.peek().Text)
+		}
 	}
-	p.skipSemis()
-	if !p.atEOF() {
-		return nil, p.errorf("unexpected trailing input %q", p.peek().Text)
+	if err := p.finish(err); err != nil {
+		return nil, err
 	}
 	return stmt, nil
 }
 
 // ParseScript parses a semicolon-separated sequence of statements.
 func ParseScript(sql string) ([]Statement, error) {
-	p, err := newParser(sql)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(sql)
 	var stmts []Statement
 	for {
 		p.skipSemis()
 		if p.atEOF() {
+			if err := p.finish(nil); err != nil {
+				return nil, err
+			}
 			return stmts, nil
 		}
 		s, err := p.parseStatement()
 		if err != nil {
-			return nil, err
+			return nil, p.finish(err)
 		}
 		stmts = append(stmts, s)
 	}
@@ -55,40 +62,78 @@ func ParseScript(sql string) ([]Statement, error) {
 // ParseExpr parses a standalone scalar expression (used in tests and by
 // trigger predicates).
 func ParseExpr(sql string) (Expr, error) {
-	p, err := newParser(sql)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(sql)
 	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	if err == nil && !p.atEOF() {
+		err = p.errorf("unexpected trailing input %q", p.peek().Text)
 	}
-	if !p.atEOF() {
-		return nil, p.errorf("unexpected trailing input %q", p.peek().Text)
+	if err := p.finish(err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-func newParser(sql string) (*Parser, error) {
-	toks, err := Tokenize(sql)
+func newParser(sql string) *Parser {
+	p := &Parser{src: sql, lex: Lexer{src: sql}}
+	p.cur = p.lexNext()
+	return p
+}
+
+// finish settles a parse's outcome. A lexer error wins over err, as if the
+// whole input had been tokenized before parsing began: on a failed parse
+// the rest of the input is lexed to find one.
+func (p *Parser) finish(err error) error {
 	if err != nil {
-		return nil, err
+		for p.lexErr == nil && !p.atEOF() {
+			p.advance()
+		}
 	}
-	return &Parser{src: sql, toks: toks}, nil
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return err
 }
 
 // --- token helpers ---
 
-func (p *Parser) peek() Token { return p.toks[p.pos] }
-func (p *Parser) atEOF() bool { return p.peek().Kind == TokEOF }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// lexNext pulls the next token; after a lexer error the stream is EOF.
+func (p *Parser) lexNext() Token {
+	if p.lexErr == nil {
+		t, err := p.lex.Next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
+	}
+	return Token{Kind: TokEOF, Pos: len(p.src)}
+}
+
+func (p *Parser) peek() Token { return p.cur }
+
+// peek2 returns the token after the current one.
+func (p *Parser) peek2() Token {
+	if !p.hasNxt {
+		p.nxt = p.lexNext()
+		p.hasNxt = true
+	}
+	return p.nxt
+}
+
+func (p *Parser) advance() {
+	if p.hasNxt {
+		p.cur, p.hasNxt = p.nxt, false
+		return
+	}
+	p.cur = p.lexNext()
+}
+
+func (p *Parser) atEOF() bool { return p.cur.Kind == TokEOF }
+func (p *Parser) next() Token { t := p.cur; p.advance(); return t }
 func (p *Parser) skipSemis() {
 	for p.isOp(";") {
-		p.pos++
+		p.advance()
 	}
 }
-func (p *Parser) save() int     { return p.pos }
-func (p *Parser) restore(m int) { p.pos = m }
 
 func (p *Parser) isKw(kw string) bool {
 	t := p.peek()
@@ -102,7 +147,7 @@ func (p *Parser) isOp(op string) bool {
 
 func (p *Parser) acceptKw(kw string) bool {
 	if p.isKw(kw) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -110,7 +155,7 @@ func (p *Parser) acceptKw(kw string) bool {
 
 func (p *Parser) acceptOp(op string) bool {
 	if p.isOp(op) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -136,7 +181,7 @@ func (p *Parser) expectOp(op string) error {
 func (p *Parser) ident() (string, error) {
 	t := p.peek()
 	if t.Kind == TokIdent {
-		p.pos++
+		p.advance()
 		return t.Text, nil
 	}
 	// Allow soft keywords as identifiers (e.g. a column named "key" or a
@@ -144,7 +189,7 @@ func (p *Parser) ident() (string, error) {
 	if t.Kind == TokKeyword {
 		switch t.Text {
 		case "KEY", "ROW", "OF", "DO", "ALL", "REPLACE", "COUNT", "SUM", "MIN", "MAX", "AVG", "SET", "VALUES", "INDEX", "VIEW", "TABLE", "TRIGGER", "AFTER", "EXECUTE", "COALESCE":
-			p.pos++
+			p.advance()
 			return strings.ToLower(t.Text), nil
 		}
 	}
@@ -185,7 +230,7 @@ func (p *Parser) parseStatement() (Statement, error) {
 	case "DELETE":
 		return p.parseDelete()
 	case "TRUNCATE":
-		p.pos++
+		p.advance()
 		p.acceptKw("TABLE")
 		name, err := p.qualifiedName()
 		if err != nil {
@@ -193,23 +238,23 @@ func (p *Parser) parseStatement() (Statement, error) {
 		}
 		return &TruncateStmt{Table: name}, nil
 	case "BEGIN":
-		p.pos++
+		p.advance()
 		return &BeginStmt{}, nil
 	case "COMMIT":
-		p.pos++
+		p.advance()
 		return &CommitStmt{}, nil
 	case "ROLLBACK":
-		p.pos++
+		p.advance()
 		return &RollbackStmt{}, nil
 	case "EXPLAIN":
-		p.pos++
+		p.advance()
 		inner, err := p.parseStatement()
 		if err != nil {
 			return nil, err
 		}
 		return &ExplainStmt{Stmt: inner}, nil
 	case "REFRESH":
-		p.pos++
+		p.advance()
 		p.acceptKw("MATERIALIZED")
 		if err := p.expectKw("VIEW"); err != nil {
 			return nil, err
@@ -220,7 +265,7 @@ func (p *Parser) parseStatement() (Statement, error) {
 		}
 		return &RefreshStmt{View: name}, nil
 	case "PRAGMA":
-		p.pos++
+		p.advance()
 		name, err := p.ident()
 		if err != nil {
 			return nil, err
@@ -254,7 +299,7 @@ func (p *Parser) qualifiedName() (string, error) {
 
 func (p *Parser) parseCreate() (Statement, error) {
 	start := p.peek().Pos
-	p.pos++ // CREATE
+	p.advance() // CREATE
 	unique := p.acceptKw("UNIQUE")
 	switch {
 	case p.acceptKw("TABLE"):
@@ -414,11 +459,11 @@ func (p *Parser) typeName() (string, error) {
 	if t.Kind != TokIdent && t.Kind != TokKeyword {
 		return "", p.errorf("expected type name, got %q", t.Text)
 	}
-	p.pos++
+	p.advance()
 	name := t.Text
 	if strings.EqualFold(name, "DOUBLE") {
 		if p.peek().Kind == TokIdent && strings.EqualFold(p.peek().Text, "PRECISION") {
-			p.pos++
+			p.advance()
 		}
 		return "DOUBLE", nil
 	}
@@ -427,7 +472,7 @@ func (p *Parser) typeName() (string, error) {
 			if p.atEOF() {
 				return "", p.errorf("unterminated type parameters")
 			}
-			p.pos++
+			p.advance()
 		}
 	}
 	return name, nil
@@ -525,13 +570,13 @@ func (p *Parser) parseCreateTrigger() (Statement, error) {
 	if h.Kind != TokString {
 		return nil, p.errorf("expected handler string, got %q", h.Text)
 	}
-	p.pos++
+	p.advance()
 	st.Handler = h.Text
 	return st, nil
 }
 
 func (p *Parser) parseDrop() (Statement, error) {
-	p.pos++ // DROP
+	p.advance() // DROP
 	var kind string
 	switch {
 	case p.acceptKw("TABLE"):
@@ -566,7 +611,7 @@ func (p *Parser) parseDrop() (Statement, error) {
 // --- DML ---
 
 func (p *Parser) parseInsert() (Statement, error) {
-	p.pos++ // INSERT
+	p.advance() // INSERT
 	st := &InsertStmt{}
 	if p.acceptKw("OR") {
 		if err := p.expectKw("REPLACE"); err != nil {
@@ -585,11 +630,8 @@ func (p *Parser) parseInsert() (Statement, error) {
 	if p.isOp("(") {
 		// Could be a column list or a parenthesized SELECT; distinguish by
 		// lookahead for SELECT/VALUES/WITH.
-		mark := p.save()
-		p.pos++
-		if p.isKw("SELECT") || p.isKw("VALUES") || p.isKw("WITH") {
-			p.restore(mark)
-		} else {
+		if nt := p.peek2(); !(nt.Kind == TokKeyword && (nt.Text == "SELECT" || nt.Text == "VALUES" || nt.Text == "WITH")) {
+			p.advance()
 			for {
 				col, err := p.ident()
 				if err != nil {
@@ -658,6 +700,125 @@ func (p *Parser) parseInsert() (Statement, error) {
 	return st, nil
 }
 
+// parseValues parses the row list after VALUES. Rows start out in the
+// literal lane: each bare literal goes straight into a flat value slab,
+// and the rows are carved from it at the end. The first item that is not
+// a bare literal, or a row whose width differs from the first row's,
+// moves the whole list to the expression form, rows already read
+// included, so the binder sees and reports it exactly as before.
+func (p *Parser) parseValues() (*ValuesList, error) {
+	var slab []sqltypes.Value
+	var exprs [][]Expr // non-nil once the list has left the lane
+	width := -1
+	for {
+		if err := p.expectOp("("); err != nil {
+			return nil, err
+		}
+		rowStart := len(slab)
+		var row []Expr
+		for {
+			if exprs == nil {
+				if v, ok := p.bareLiteral(); ok {
+					slab = append(slab, v)
+					if !p.acceptOp(",") {
+						break
+					}
+					continue
+				}
+				exprs, row = toExprs(slab[:rowStart], width, slab[rowStart:])
+			}
+			e, err := p.parseExpr()
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, e)
+			if !p.acceptOp(",") {
+				break
+			}
+		}
+		if err := p.expectOp(")"); err != nil {
+			return nil, err
+		}
+		if exprs == nil {
+			n := len(slab) - rowStart
+			if width < 0 {
+				width = n
+			} else if n != width {
+				exprs, row = toExprs(slab[:rowStart], width, slab[rowStart:])
+			}
+		}
+		if exprs != nil {
+			exprs = append(exprs, row)
+		}
+		if !p.acceptOp(",") {
+			break
+		}
+	}
+	if exprs != nil {
+		return &ValuesList{Exprs: exprs}, nil
+	}
+	rows := make([]sqltypes.Row, len(slab)/width)
+	for i := range rows {
+		rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
+	}
+	return &ValuesList{Literal: rows}, nil
+}
+
+// bareLiteral consumes the current token when it is a literal standing
+// alone as a VALUES item: a number, a string, NULL, TRUE or FALSE
+// followed by "," or ")". Anything else, a literal that starts an
+// expression included, is left for parseExpr.
+func (p *Parser) bareLiteral() (sqltypes.Value, bool) {
+	var v sqltypes.Value
+	t := p.peek()
+	switch t.Kind {
+	case TokNumber:
+		n, ok := numberValue(t.Text)
+		if !ok {
+			return v, false
+		}
+		v = n
+	case TokString:
+		v = sqltypes.NewString(t.Text)
+	case TokKeyword:
+		switch t.Text {
+		case "NULL":
+			v = sqltypes.Null
+		case "TRUE":
+			v = sqltypes.NewBool(true)
+		case "FALSE":
+			v = sqltypes.NewBool(false)
+		default:
+			return v, false
+		}
+	default:
+		return v, false
+	}
+	if nt := p.peek2(); nt.Kind != TokOp || (nt.Text != "," && nt.Text != ")") {
+		return v, false
+	}
+	p.advance()
+	return v, true
+}
+
+// toExprs moves lane values to the expression form: the completed rows,
+// width values each, and the items of the current row so far.
+func toExprs(done []sqltypes.Value, width int, cur []sqltypes.Value) ([][]Expr, []Expr) {
+	rows := make([][]Expr, 0, len(done)/max(width, 1)+1)
+	for ; len(done) > 0; done = done[width:] {
+		rows = append(rows, literalRow(done[:width]))
+	}
+	return rows, literalRow(cur)
+}
+
+func literalRow(vals []sqltypes.Value) []Expr {
+	row := make([]Expr, len(vals), len(vals)+1)
+	for i, v := range vals {
+		row[i] = &Literal{Value: v}
+	}
+	return row
+}
+
 func (p *Parser) parseAssignment() (Assignment, error) {
 	var a Assignment
 	col, err := p.ident()
@@ -677,7 +838,7 @@ func (p *Parser) parseAssignment() (Assignment, error) {
 }
 
 func (p *Parser) parseUpdate() (Statement, error) {
-	p.pos++ // UPDATE
+	p.advance() // UPDATE
 	st := &UpdateStmt{}
 	name, err := p.qualifiedName()
 	if err != nil {
@@ -708,7 +869,7 @@ func (p *Parser) parseUpdate() (Statement, error) {
 }
 
 func (p *Parser) parseDelete() (Statement, error) {
-	p.pos++ // DELETE
+	p.advance() // DELETE
 	if err := p.expectKw("FROM"); err != nil {
 		return nil, err
 	}
@@ -805,7 +966,7 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 // list, or a parenthesized select.
 func (p *Parser) parseSelectBody() (*SelectStmt, error) {
 	if p.isOp("(") {
-		p.pos++
+		p.advance()
 		sel, err := p.parseSelect()
 		if err != nil {
 			return nil, err
@@ -816,31 +977,11 @@ func (p *Parser) parseSelectBody() (*SelectStmt, error) {
 		return sel, nil
 	}
 	if p.acceptKw("VALUES") {
-		sel := &SelectStmt{}
-		for {
-			if err := p.expectOp("("); err != nil {
-				return nil, err
-			}
-			var row []Expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, e)
-				if !p.acceptOp(",") {
-					break
-				}
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			sel.Values = append(sel.Values, row)
-			if !p.acceptOp(",") {
-				break
-			}
+		vl, err := p.parseValues()
+		if err != nil {
+			return nil, err
 		}
-		return sel, nil
+		return &SelectStmt{Values: vl}, nil
 	}
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err
@@ -946,7 +1087,7 @@ func (p *Parser) parseSelectItem() (SelectItem, error) {
 	var it SelectItem
 	// t.* or *
 	if p.isOp("*") {
-		p.pos++
+		p.advance()
 		it.Expr = &ColumnRef{Star: true}
 		return it, nil
 	}
@@ -1006,7 +1147,7 @@ func (p *Parser) parseTableRef() (TableRef, error) {
 			}
 			kind = JoinCross
 		case p.isOp(","):
-			p.pos++
+			p.advance()
 			kind = JoinCross
 		default:
 			return left, nil
@@ -1051,7 +1192,7 @@ func (p *Parser) parseTableRef() (TableRef, error) {
 
 func (p *Parser) parseTablePrimary() (TableRef, error) {
 	if p.isOp("(") {
-		p.pos++
+		p.advance()
 		sel, err := p.parseSelect()
 		if err != nil {
 			return nil, err
@@ -1116,7 +1257,7 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 		// postfix-style predicates handled inline
 		switch op {
 		case "IS":
-			p.pos++ // IS
+			p.advance() // IS
 			neg := p.acceptKw("NOT")
 			if err := p.expectKw("NULL"); err != nil {
 				return nil, err
@@ -1124,7 +1265,7 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 			left = &IsNullExpr{Operand: left, Negate: neg}
 			continue
 		case "NOT": // NOT IN / NOT BETWEEN / NOT LIKE
-			p.pos++
+			p.advance()
 			switch {
 			case p.isKw("IN"):
 				e, err := p.parseInTail(left, true)
@@ -1139,7 +1280,7 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 				}
 				left = e
 			case p.isKw("LIKE"):
-				p.pos++
+				p.advance()
 				rhs, err := p.parseBinary(precAdd)
 				if err != nil {
 					return nil, err
@@ -1164,7 +1305,7 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 			left = e
 			continue
 		}
-		p.pos++
+		p.advance()
 		right, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
@@ -1248,11 +1389,8 @@ func (p *Parser) peekBinaryOp() (op string, prec int, ok bool) {
 			return t.Text, precCmp, true
 		case "NOT":
 			// only binds as NOT IN / NOT BETWEEN / NOT LIKE in infix position
-			if p.pos+1 < len(p.toks) {
-				nt := p.toks[p.pos+1]
-				if nt.Kind == TokKeyword && (nt.Text == "IN" || nt.Text == "BETWEEN" || nt.Text == "LIKE") {
-					return "NOT", precCmp, true
-				}
+			if nt := p.peek2(); nt.Kind == TokKeyword && (nt.Text == "IN" || nt.Text == "BETWEEN" || nt.Text == "LIKE") {
+				return "NOT", precCmp, true
 			}
 		}
 	}
@@ -1308,32 +1446,37 @@ func (p *Parser) parsePostfix() (Expr, error) {
 	return e, nil
 }
 
+// numberValue converts a number token's text: an integer that fits int64
+// is INTEGER; anything else, an integer overflowing int64 included, is
+// FLOAT.
+func numberValue(text string) (sqltypes.Value, bool) {
+	if !strings.ContainsAny(text, ".eE") {
+		if i, err := strconv.ParseInt(text, 10, 64); err == nil {
+			return sqltypes.NewInt(i), true
+		}
+	}
+	f, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return sqltypes.Value{}, false
+	}
+	return sqltypes.NewFloat(f), true
+}
+
 func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.Kind {
 	case TokNumber:
-		p.pos++
-		if strings.ContainsAny(t.Text, ".eE") {
-			f, err := strconv.ParseFloat(t.Text, 64)
-			if err != nil {
-				return nil, p.errorf("bad number %q", t.Text)
-			}
-			return &Literal{Value: sqltypes.NewFloat(f)}, nil
+		p.advance()
+		v, ok := numberValue(t.Text)
+		if !ok {
+			return nil, p.errorf("bad number %q", t.Text)
 		}
-		i, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
-			f, ferr := strconv.ParseFloat(t.Text, 64)
-			if ferr != nil {
-				return nil, p.errorf("bad number %q", t.Text)
-			}
-			return &Literal{Value: sqltypes.NewFloat(f)}, nil
-		}
-		return &Literal{Value: sqltypes.NewInt(i)}, nil
+		return &Literal{Value: v}, nil
 	case TokString:
-		p.pos++
+		p.advance()
 		return &Literal{Value: sqltypes.NewString(t.Text)}, nil
 	case TokParam:
-		p.pos++
+		p.advance()
 		idx, err := strconv.Atoi(t.Text)
 		if err != nil || idx < 1 {
 			return nil, p.errorf("bad parameter $%s (parameters are $1, $2, ...)", t.Text)
@@ -1341,7 +1484,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return &ParamExpr{Index: idx}, nil
 	case TokOp:
 		if t.Text == "(" {
-			p.pos++
+			p.advance()
 			if p.isKw("SELECT") || p.isKw("WITH") || p.isKw("VALUES") {
 				sel, err := p.parseSelect()
 				if err != nil {
@@ -1362,24 +1505,24 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			return e, nil
 		}
 		if t.Text == "*" {
-			p.pos++
+			p.advance()
 			return &ColumnRef{Star: true}, nil
 		}
 	case TokKeyword:
 		switch t.Text {
 		case "NULL":
-			p.pos++
+			p.advance()
 			return &Literal{Value: sqltypes.Null}, nil
 		case "TRUE":
-			p.pos++
+			p.advance()
 			return &Literal{Value: sqltypes.NewBool(true)}, nil
 		case "FALSE":
-			p.pos++
+			p.advance()
 			return &Literal{Value: sqltypes.NewBool(false)}, nil
 		case "CASE":
 			return p.parseCase()
 		case "CAST":
-			p.pos++
+			p.advance()
 			if err := p.expectOp("("); err != nil {
 				return nil, err
 			}
@@ -1400,14 +1543,14 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			return &CastExpr{Operand: e, TypeName: tn}, nil
 		case "COUNT", "SUM", "MIN", "MAX", "AVG", "COALESCE", "REPLACE":
 			// function-style keywords
-			if p.pos+1 < len(p.toks) && p.toks[p.pos+1].Kind == TokOp && p.toks[p.pos+1].Text == "(" {
-				p.pos++
+			if nt := p.peek2(); nt.Kind == TokOp && nt.Text == "(" {
+				p.advance()
 				return p.parseFuncCall(t.Text)
 			}
 			// else fall through to identifier handling
 		case "EXCLUDED":
 			// EXCLUDED.col inside ON CONFLICT DO UPDATE
-			p.pos++
+			p.advance()
 			if err := p.expectOp("."); err != nil {
 				return nil, err
 			}
@@ -1477,7 +1620,7 @@ func (p *Parser) parseFuncCall(name string) (Expr, error) {
 }
 
 func (p *Parser) parseCase() (Expr, error) {
-	p.pos++ // CASE
+	p.advance() // CASE
 	ce := &CaseExpr{}
 	if !p.isKw("WHEN") {
 		e, err := p.parseExpr()

@@ -158,7 +158,7 @@ func TestParseOrderLimitOffset(t *testing.T) {
 
 func TestParseValues(t *testing.T) {
 	sel := mustSelect(t, "VALUES (1, 'a'), (2, 'b')")
-	if len(sel.Values) != 2 || len(sel.Values[0]) != 2 {
+	if sel.Values == nil || len(sel.Values.Literal) != 2 || len(sel.Values.Literal[0]) != 2 {
 		t.Fatalf("values = %#v", sel.Values)
 	}
 }
@@ -287,7 +287,7 @@ func TestParseDrop(t *testing.T) {
 
 func TestParseInsertValues(t *testing.T) {
 	st := mustParse(t, "INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')").(*InsertStmt)
-	if st.Table != "t" || len(st.Columns) != 2 || len(st.Select.Values) != 2 {
+	if st.Table != "t" || len(st.Columns) != 2 || st.Select.Values == nil || len(st.Select.Values.Literal) != 2 {
 		t.Fatalf("got %#v", st)
 	}
 }

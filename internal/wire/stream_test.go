@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"openivm/internal/engine"
+	"openivm/internal/fault"
 	"openivm/internal/sqltypes"
 )
 
@@ -309,12 +310,17 @@ func TestCancelRace(t *testing.T) {
 
 // TestQueryTimeoutKill: a statement that outlives QueryTimeout is killed
 // mid-stream; the kill is classified in stats and the session survives.
-// Deterministic like TestCancelRace: the client parks the stream past
-// the deadline before draining.
 func TestQueryTimeoutKill(t *testing.T) {
-	// The budget must outlast first-batch latency even under -race, yet
-	// expire while the client parks the stream below.
-	srv, addr := startServerOpts(t, func(s *Server) { s.QueryTimeout = 400 * time.Millisecond })
+	// The deadline must pass while the server is still streaming. The
+	// result alone cannot guarantee that: autotuned loopback socket
+	// buffers can take all of it before the deadline, and the stream then
+	// ends cleanly. So the first row-batch frame write is held for twice
+	// the budget, which starts after the statement did. Wherever the
+	// deadline lands (before the first batch, or while the frame is
+	// held), the stream ends in a deadline error, with no bound assumed
+	// on how fast the server streams or the client reads.
+	const budget = 300 * time.Millisecond
+	srv, addr := startServerOpts(t, func(s *Server) { s.QueryTimeout = budget })
 	loadBig(t, srv.DB, 20000, 512)
 	cl, err := Dial(addr)
 	if err != nil {
@@ -322,17 +328,18 @@ func TestQueryTimeoutKill(t *testing.T) {
 	}
 	defer cl.Close()
 
+	if err := fault.Activate(fault.WireFrameWrite, fmt.Sprintf("delay(%s)@after1@times1", 2*budget)); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Reset()
 	rows, err := cl.Query("SELECT id, pad FROM big")
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		err = drainUntilError(t, rows)
 	}
-	if _, err := rows.Next(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(700 * time.Millisecond)
-	if err := drainUntilError(t, rows); err == nil || !strings.Contains(err.Error(), "deadline") {
+	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("overtime stream ended with %v, want deadline exceeded", err)
 	}
+	fault.Reset()
 	st, err := cl.Stats()
 	if err != nil {
 		t.Fatal(err)
